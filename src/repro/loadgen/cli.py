@@ -14,6 +14,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .. import constants
 from .mix import build_pool, churn_mix, sample_indices
 from .report import build_report, render_table, write_report
 from .runner import establish_sessions, run_load, serialize_pool
@@ -119,8 +120,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         established = sum(1 for handle in handles
                           if handle is not None)
         print(f"churn: established {established}/{len(pool)} sessions")
+        # build_pool's requests name no field, so they plan on the
+        # default one.
         extra, assignment, kinds = churn_mix(
-            assignment, handles, args.churn, args.seed + 1, args.n)
+            assignment, handles, args.churn, args.seed + 1, args.n,
+            field_side_m=constants.FIELD_SIDE_M)
         bodies = bodies + serialize_pool(extra)
         delta_url = args.url.rstrip("/") + "/v1/plan/delta"
         urls = [plan_url] * len(pool) + [delta_url] * len(extra)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from .. import constants
+
 __all__ = ["build_pool", "churn_mix", "sample_indices", "zipf_weights"]
 
 
@@ -83,7 +85,7 @@ def build_pool(pool: int, node_count: int, planner: str,
 def churn_mix(assignment: Sequence[int],
               handles: Sequence[Optional[str]],
               churn: float, seed: int, node_count: int,
-              field_side_m: float = 100.0
+              field_side_m: float = constants.FIELD_SIDE_M
               ) -> Tuple[List[Dict[str, Any]], List[int], List[str]]:
     """Rewrite a seeded fraction of arrivals into delta requests.
 
@@ -101,7 +103,8 @@ def churn_mix(assignment: Sequence[int],
         churn: fraction of arrivals converted, in [0, 1].
         seed: conversion + move-generation seed.
         node_count: sensors per deployment (bounds the moved index).
-        field_side_m: field bound of the generated positions.
+        field_side_m: field bound of the generated positions; must be
+            the side of the field the pool's deployments use.
 
     Returns:
         ``(extra_bodies, new_assignment, kinds)`` — delta request

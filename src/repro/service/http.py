@@ -223,6 +223,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server: PlanningHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms) on a kept-alive
+    # connection.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:
         """Silence the default stderr access log."""

@@ -5,7 +5,9 @@ re-optimizing each anchor against its current tour neighbours with the
 Theorem 4/5 search.  Each accepted move strictly decreases total energy,
 so the sweep converges; we repeat sweeps until a full pass makes no move
 (the paper runs a single ``i = 2..N-1`` pass — multiple passes only help,
-and a ``max_sweeps=1`` knob reproduces the paper's exact loop).
+and a ``max_sweeps=1`` knob reproduces the paper's exact loop).  A sweep
+re-searches only the stops whose search inputs changed since their last
+search (docs/algorithms.md, section 6).
 """
 
 from __future__ import annotations
@@ -107,33 +109,49 @@ def optimize_tour(plan: ChargingPlan, locations: Sequence[Point],
 
     # Definition 3 cap: a displaced anchor must keep every bundle member
     # within the charging radius, so d <= r - r'_i per stop.
+    members = [[locations[s] for s in stop.sensors] for stop in stops]
     caps: List[Optional[float]] = []
-    for i, stop in enumerate(stops):
+    for i, member_locations in enumerate(members):
         if bundle_radius is None:
             caps.append(None)
             continue
-        member_locations = [locations[s] for s in stop.sensors]
         own_radius = (max(centers[i].distance_to(p)
                           for p in member_locations)
                       if member_locations else 0.0)
         caps.append(max(0.0, bundle_radius - own_radius))
 
+    # Worklist: optimize_anchor is a pure function of (center, prev,
+    # next, members, incumbent, cap), so a stop whose last search did
+    # not move it and none of whose inputs changed since would not move
+    # again.  Only a move changes an input: the mover's incumbent and
+    # its neighbours' prev/next.  Skipping those searches leaves sweeps,
+    # moves and positions identical to searching every stop.
+    last = len(stops) - 1
+    dirty = [True] * len(stops)
     with obs_span("bto.anchors", stops=len(stops)) as span:
         for _ in range(max_sweeps):
             sweeps += 1
             moved_this_sweep = 0
-            for i, stop in enumerate(stops):
+            for i in range(len(stops)):
+                if not dirty[i]:
+                    continue
                 prev_point = _neighbor(positions, depot, i, -1)
                 next_point = _neighbor(positions, depot, i, +1)
-                member_locations = [locations[s] for s in stop.sensors]
                 result = optimize_anchor(
-                    centers[i], prev_point, next_point, member_locations,
+                    centers[i], prev_point, next_point, members[i],
                     cost, current=positions[i],
                     max_displacement=caps[i],
                     radius_steps=radius_steps)
+                # A mover stays dirty: the search's acceptance threshold
+                # scales with the incumbent's energy, so it may move again.
+                dirty[i] = result.moved
                 if result.moved:
                     positions[i] = result.position
                     moved_this_sweep += 1
+                    if depot is None or i > 0:
+                        dirty[i - 1] = True
+                    if depot is None or i < last:
+                        dirty[(i + 1) % len(stops)] = True
             moves += moved_this_sweep
             if moved_this_sweep == 0:
                 break

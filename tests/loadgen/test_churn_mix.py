@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constants import FIELD_SIDE_M
 from repro.delta import DELTA_REQUEST_SCHEMA
 from repro.loadgen import (LatencyRecorder, build_report, churn_mix,
                            render_table, report_problems)
@@ -42,7 +43,27 @@ class TestChurnMix:
             (record,) = body["deltas"]
             assert record["type"] == "sensor_moved"
             assert 0 <= record["index"] < 25
-            assert 0.0 <= record["x"] <= 100.0
+            assert 0.0 <= record["x"] <= FIELD_SIDE_M
+            assert 0.0 <= record["y"] <= FIELD_SIDE_M
+
+    @pytest.mark.parametrize("field_side_m", [None, 300.0])
+    def test_moves_cover_the_whole_field(self, field_side_m):
+        # The pool's requests plan on the default 1 km field, so drifts
+        # must spread over all of it, not over a corner.
+        kwargs = {} if field_side_m is None else {
+            "field_side_m": field_side_m}
+        side = field_side_m or FIELD_SIDE_M
+        extra, _, _ = churn_mix([0] * 400, HANDLES, 1.0, seed=5,
+                                node_count=25, **kwargs)
+        quadrants = set()
+        for body in extra:
+            (record,) = body["deltas"]
+            assert 0.0 <= record["x"] <= side
+            assert 0.0 <= record["y"] <= side
+            quadrants.add((record["x"] >= side / 2,
+                           record["y"] >= side / 2))
+        assert quadrants == {(False, False), (False, True),
+                             (True, False), (True, True)}
 
     def test_deterministic_in_seed(self):
         arrivals = [0, 1, 3] * 5

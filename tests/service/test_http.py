@@ -1,6 +1,9 @@
 """Tests for the HTTP front end (routing, errors, headers, batch)."""
 
+import http.client
 import json
+import statistics
+import time
 
 from repro.service import METRICS_SCHEMA_V2, response_problems
 
@@ -35,6 +38,29 @@ class TestEndpoints:
         status, _, doc = http_call(f"{base}/healthz", b"{}")
         assert status == 405
         assert doc["error"]["code"] == "method-not-allowed"
+
+
+class TestKeepAlive:
+    def test_back_to_back_requests_do_not_wait_for_delayed_ack(
+            self, live_server):
+        # Headers and body leave in separate writes; with Nagle's
+        # algorithm on, each kept-alive response stalls until the
+        # client's delayed ACK (40 ms on Linux).
+        server, _ = live_server()
+        connection = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                timeout=10)
+        try:
+            latencies = []
+            for _ in range(11):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                latencies.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(latencies[1:]) < 0.020
 
 
 class TestPlanEndpoint:

@@ -1,12 +1,17 @@
 """Tests for Algorithm 3 (charging-tour optimization)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.charging import CostParameters, FriisChargingModel
 from repro.errors import PlanError
 from repro.geometry import Point
 from repro.tour import (ChargingPlan, optimize_tour, plan_total_energy,
                         stop_for_sensors)
+from repro.tour import optimizer
+from repro.tour.anchor_opt import AnchorResult, optimize_anchor
+from repro.tour.optimizer import TourOptimizationReport, _neighbor
 
 
 def _zigzag_plan(cost, amplitude=60.0, n=6):
@@ -107,3 +112,105 @@ class TestOptimizeTour:
         assert report.sweeps == 1
         assert plan_total_energy(one_sweep, locations, cost) <= \
             plan_total_energy(plan, locations, cost) + 1e-6
+
+
+def _exhaustive_sweep(plan, locations, cost, caps, max_sweeps):
+    """Oracle: the paper loop, re-optimizing every stop on every sweep."""
+    positions = [stop.position for stop in plan.stops]
+    sweeps = moves = 0
+    for _ in range(max_sweeps):
+        sweeps += 1
+        moved = 0
+        for i, stop in enumerate(plan.stops):
+            result = optimize_anchor(
+                stop.position, _neighbor(positions, plan.depot, i, -1),
+                _neighbor(positions, plan.depot, i, +1),
+                [locations[s] for s in stop.sensors], cost,
+                current=positions[i], max_displacement=caps[i])
+            if result.moved:
+                positions[i] = result.position
+                moved += 1
+        moves += moved
+        if moved == 0:
+            break
+    return positions, sweeps, moves
+
+
+@st.composite
+def _tour_cases(draw):
+    """Small tours on a coarse grid, so coincident stops are common."""
+    grid = st.integers(0, 12).map(lambda k: k * 15.0)
+    offset = st.integers(-3, 3).map(lambda k: k * 2.5)
+    locations, stops = [], []
+    for _ in range(draw(st.integers(2, 6))):
+        anchor = Point(draw(grid), draw(grid))
+        members = []
+        for _ in range(draw(st.integers(1, 3))):
+            members.append(len(locations))
+            locations.append(Point(anchor.x + draw(offset),
+                                   anchor.y + draw(offset)))
+        stops.append((anchor, members))
+    depot = draw(st.one_of(
+        st.none(), st.builds(Point, grid, grid),
+        st.sampled_from(locations)))  # a depot inside a bundle
+    radius = draw(st.one_of(st.none(), st.sampled_from([0.0, 5.0, 20.0])))
+    move_cost = draw(st.sampled_from([1.0, 20.0, 100.0]))
+    return (locations, stops, depot, radius, move_cost,
+            draw(st.integers(1, 8)))
+
+
+class TestWorklistMatchesExhaustiveSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(_tour_cases())
+    # Two stops without a depot: prev and next are the same stop.
+    @example(([Point(0, 0), Point(90, 40)],
+              [(Point(0, 0), [0]), (Point(90, 40), [1])],
+              None, None, 100.0, 8))
+    # Coincident stops, and a depot on a bundle member.
+    @example(([Point(30, 30), Point(30, 30), Point(120, 0)],
+              [(Point(30, 30), [0]), (Point(30, 30), [1]),
+               (Point(120, 0), [2])],
+              Point(30, 30), 20.0, 100.0, 8))
+    def test_positions_and_report_identical(self, case):
+        locations, stop_specs, depot, radius, move_cost, max_sweeps = case
+        cost = CostParameters(model=FriisChargingModel(),
+                              move_cost_j_per_m=move_cost)
+        plan = ChargingPlan(
+            stops=tuple(stop_for_sensors(anchor, members, locations, cost)
+                        for anchor, members in stop_specs),
+            depot=depot)
+        caps = [None if radius is None else max(0.0, radius - max(
+            stop.position.distance_to(locations[s])
+            for s in stop.sensors)) for stop in plan.stops]
+
+        optimized, report = optimize_tour(plan, locations, cost,
+                                          bundle_radius=radius,
+                                          max_sweeps=max_sweeps)
+        positions, sweeps, moves = _exhaustive_sweep(
+            plan, locations, cost, caps, max_sweeps)
+
+        assert [stop.position for stop in optimized.stops] == positions
+        initial = plan_total_energy(plan, locations, cost)
+        assert report == TourOptimizationReport(
+            sweeps, moves, initial,
+            plan_total_energy(optimized, locations, cost))
+
+    def test_mover_is_revisited_when_neighbours_hold(self, paper_cost,
+                                                     monkeypatch):
+        # A search from the mover's new position can move it again: the
+        # acceptance tolerance scales with the incumbent's energy.  A
+        # fake search that creeps stop 0 one metre per call, three
+        # times, checks the worklist keeps a mover dirty on its own.
+        plan, locations = _zigzag_plan(paper_cost, n=4)
+        start = plan.stops[0].position
+
+        def creep(center, prev_point, next_point, members, cost,
+                  current, **_):
+            if center == start and current.x < start.x + 3.0:
+                return AnchorResult(Point(current.x + 1.0, current.y),
+                                    0.0, True)
+            return AnchorResult(current, 0.0, False)
+
+        monkeypatch.setattr(optimizer, "optimize_anchor", creep)
+        _, report = optimize_tour(plan, locations, paper_cost)
+        assert (report.sweeps, report.moves) == (4, 3)
